@@ -79,6 +79,9 @@ StatusOr<InumCache> BuildInumCachePinum(const Query& query,
     }
     local.plans_exported += static_cast<int64_t>(result.exported.size());
     ++local.plan_cache_calls;
+    local.calls.push_back({"export", result.best->cost.total,
+                           static_cast<int64_t>(result.exported.size()),
+                           result.paths_considered});
   }
 
   // ---- NLJ plans: extreme-access-cost calls (Section V-D). The calls
@@ -106,6 +109,10 @@ StatusOr<InumCache> BuildInumCachePinum(const Query& query,
       }
       local.plans_exported += static_cast<int64_t>(result.exported.size());
       ++local.plan_cache_calls;
+      local.calls.push_back({call == 0 ? "nlj_low" : "nlj_high",
+                             result.best->cost.total,
+                             static_cast<int64_t>(result.exported.size()),
+                             result.paths_considered});
     }
 
     // Probe sweep (nlj_extreme_calls >= 3): one winner-only call per join
@@ -115,7 +122,8 @@ StatusOr<InumCache> BuildInumCachePinum(const Query& query,
     // here and get cached. Calls stay linear in the number of joins,
     // never in the IOC count.
     if (options.nlj_extreme_calls >= 3) {
-      for (const JoinPredicate& jp : query.joins) {
+      for (size_t j = 0; j < query.joins.size(); ++j) {
+        const JoinPredicate& jp = query.joins[j];
         std::vector<IndexId> visible;
         for (IndexId id : candidates.candidate_ids) {
           const IndexDef* def = candidates.universe.FindIndex(id);
@@ -135,6 +143,9 @@ StatusOr<InumCache> BuildInumCachePinum(const Query& query,
         cache.AddPlan(*result.best, covering, !query.order_by.empty());
         ++local.plans_exported;
         ++local.plan_cache_calls;
+        local.calls.push_back({"probe" + std::to_string(j),
+                               result.best->cost.total, 1,
+                               result.paths_considered});
       }
     }
   }

@@ -6,6 +6,8 @@
 #define PINUM_PINUM_PINUM_BUILDER_H_
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "inum/access_cost_store.h"
 #include "inum/cache.h"
@@ -47,6 +49,18 @@ struct PinumBuildOptions {
   PlannerKnobs base_knobs;
 };
 
+/// One plan-cache optimizer call of a PINUM build: what the golden corpus
+/// pins about the search itself, beyond the plans it harvested.
+struct PinumCallRecord {
+  /// "export", "nlj_low", "nlj_high", or "probe<j>" for the probe-sweep
+  /// call of join predicate j.
+  std::string kind;
+  /// Total cost of the call's winning plan.
+  double best_cost = 0;
+  int64_t plans_exported = 0;
+  int64_t paths_considered = 0;
+};
+
 /// Build-time accounting, the quantities plotted in Figure 4/5.
 struct PinumBuildStats {
   int64_t plan_cache_calls = 0;
@@ -59,6 +73,8 @@ struct PinumBuildStats {
   size_t plans_cached = 0;
   /// Plans exported by the hooked call(s) before dedup.
   int64_t plans_exported = 0;
+  /// Every plan-cache call, in call order.
+  std::vector<PinumCallRecord> calls;
 };
 
 /// Fills an InumCache for `query` via the PINUM hooks:

@@ -1,6 +1,7 @@
 #include "workload/plan_corpus.h"
 
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -29,6 +30,43 @@ double HarvestAccessCost(const CachedPlan& plan) {
   double sum = 0;
   for (const LeafSlot& s : plan.slots) sum += s.multiplier * s.unit_cost;
   return sum;
+}
+
+/// FNV-1a over the bit patterns of every entry of an access-cost table:
+/// one line that moves when any per-index access cost does.
+uint64_t AccessTableHash(const AccessCostTable& access) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](uint64_t v) {
+    for (int b = 0; b < 64; b += 8) {
+      h ^= (v >> b) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  auto mix_double = [&mix](double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    mix(bits);
+  };
+  auto mix_column = [&mix](ColumnRef c) {
+    mix(static_cast<uint64_t>(c.table));
+    mix(static_cast<uint64_t>(c.column));
+  };
+  mix(static_cast<uint64_t>(access.NumTables()));
+  for (int pos = 0; pos < access.NumTables(); ++pos) {
+    mix_double(access.HeapCost(pos));
+    for (const auto& [id, costs] : *access.IndexCostsAt(pos)) {
+      mix(static_cast<uint64_t>(id));
+      mix_column(costs.probe_column);
+      mix_double(costs.scan_cost);
+      for (const IndexAccessCosts::OrderedCost& o : costs.ordered) {
+        mix_column(o.column);
+        mix_double(o.cost);
+      }
+      mix_double(costs.probe_cost);
+      mix_double(costs.probe_rows);
+    }
+  }
+  return h;
 }
 
 std::string NameOf(const CandidateSet& set, IndexId id) {
@@ -120,6 +158,29 @@ StatusOr<std::string> BuildCorpusText(const CorpusSpec& spec,
           << " access=" << Hex(HarvestAccessCost(plan))
           << " sig=" << plan.signature << "\n";
     }
+    if (opts.mode == CacheBuildMode::kPinum) {
+      // Each plan-cache optimizer call of an unshared per-query build:
+      // the winner's cost and the search effort behind it, so a planner
+      // change that keeps the harvested plans but alters the search
+      // (or an access-cost call that prices differently) still shows.
+      PinumBuildOptions popts = opts.pinum;
+      popts.shared_access = nullptr;
+      PinumBuildStats pstats;
+      PINUM_RETURN_IF_ERROR(BuildInumCachePinum(inst->queries[i],
+                                                inst->catalog(), inst->set,
+                                                inst->stats(), popts, &pstats)
+                                .status());
+      for (const PinumCallRecord& call : pstats.calls) {
+        out << q << ".call[" << call.kind << "] = best="
+            << Hex(call.best_cost) << " exported=" << call.plans_exported
+            << " considered=" << call.paths_considered << "\n";
+      }
+    }
+    char access_hash[32];
+    std::snprintf(access_hash, sizeof(access_hash), "%016llx",
+                  static_cast<unsigned long long>(
+                      AccessTableHash(cache.access())));
+    out << q << ".access_hash = " << access_hash << "\n";
     // The two configurations every regression cares about: no indexes,
     // and the advisor's final pick.
     const CachedPlan* base_best = cache.BestPlan({});

@@ -1,5 +1,7 @@
 // The golden plan-stability corpus: per (family, seed, budget), the
-// chosen plans, internal/access costs, seal pruning counts, and the
+// chosen plans, internal/access costs, each PINUM optimizer call's
+// winner cost and search effort, an access-cost table hash, seal
+// pruning counts, and the
 // greedy + search advisor trajectories (search.* lines: restart and
 // swap-move outcomes at a fixed seed), rendered as canonical
 // `key = value` text and

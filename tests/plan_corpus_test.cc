@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "pinum/pinum_builder.h"
 #include "workload/plan_corpus.h"
 #include "workload/workload_family.h"
 
@@ -69,6 +70,41 @@ TEST(PlanCorpusTest, CorpusTextIsDeterministic) {
     EXPECT_GT(entries.size(), 10u);
     EXPECT_TRUE(entries.count("workload.family"));
     EXPECT_EQ(entries.at("workload.family"), family);
+  }
+}
+
+TEST(PlanCorpusTest, RecordsEveryPinumOptimizerCall) {
+  // One call[...] line per plan-cache optimizer call of each query's
+  // unshared build, and one access-cost hash per query.
+  CorpusSpec spec;
+  spec.family = "star";
+  WorkloadFamilyOptions wopts;
+  wopts.seed = spec.seed;
+  const auto inst = MakeWorkloadInstance(spec.family, wopts);
+  ASSERT_TRUE(inst.ok()) << inst.status().ToString();
+  auto text = BuildCorpusText(spec);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  const auto entries = Reparse(*text);
+  for (const Query& q : (*inst)->queries) {
+    const std::string prefix = "query[" + q.name + "]";
+    PinumBuildStats stats;
+    ASSERT_TRUE(BuildInumCachePinum(q, (*inst)->catalog(), (*inst)->set,
+                                    (*inst)->stats(), PinumBuildOptions{},
+                                    &stats)
+                    .ok());
+    ASSERT_EQ(stats.calls.size(),
+              static_cast<size_t>(stats.plan_cache_calls));
+    for (const PinumCallRecord& call : stats.calls) {
+      const auto it = entries.find(prefix + ".call[" + call.kind + "]");
+      ASSERT_NE(it, entries.end()) << prefix << " " << call.kind;
+      EXPECT_NE(it->second.find(" considered=" +
+                                std::to_string(call.paths_considered)),
+                std::string::npos)
+          << it->second;
+    }
+    ASSERT_TRUE(entries.count(prefix + ".call[export]")) << prefix;
+    ASSERT_TRUE(entries.count(prefix + ".access_hash")) << prefix;
+    EXPECT_EQ(entries.at(prefix + ".access_hash").size(), 16u);
   }
 }
 
