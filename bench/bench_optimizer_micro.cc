@@ -52,22 +52,20 @@ void BM_OptimizeExportAllPlans(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimizeExportAllPlans)->DenseRange(0, 9);
 
-/// Keep-all-access-paths call over the full candidate universe
-/// (the PINUM access-cost call).
-void BM_OptimizeKeepAllAccessPaths(benchmark::State& state) {
+/// Access-path collector call over the full candidate universe
+/// (the PINUM access-cost call; no join search).
+void BM_CollectAccessPaths(benchmark::State& state) {
   Env& env = GetEnv();
   const Query& q =
       env.workload.queries()[static_cast<size_t>(state.range(0))];
   Optimizer opt(&env.candidates.universe, &env.workload.db().stats());
-  PlannerKnobs knobs;
-  knobs.hooks.keep_all_access_paths = true;
   for (auto _ : state) {
-    auto r = opt.Optimize(q, knobs);
+    auto r = opt.CollectAccessPaths(q, PlannerKnobs{});
     benchmark::DoNotOptimize(r);
   }
   state.SetLabel(q.name);
 }
-BENCHMARK(BM_OptimizeKeepAllAccessPaths)->DenseRange(0, 9);
+BENCHMARK(BM_CollectAccessPaths)->DenseRange(0, 9);
 
 /// Cached cost derivation: the arithmetic that replaces optimizer calls.
 void BM_InumCostDerivation(benchmark::State& state) {

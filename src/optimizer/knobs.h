@@ -8,11 +8,8 @@
 namespace pinum {
 
 /// The optimizer hooks PINUM adds (the dotted/dashed arrows of Figure 3).
+/// (Section V-C's access-cost hook is Optimizer::CollectAccessPaths.)
 struct PlannerHooks {
-  /// Section V-C: the access-path collector keeps *every* index access
-  /// path instead of the cheapest per interesting order, and exports the
-  /// per-index access costs with the answer.
-  bool keep_all_access_paths = false;
   /// Section V-D: the join planner retains one optimal plan per useful
   /// interesting-order combination (dominance-pruned) and the grouping
   /// planner exports all of them instead of only the winner.

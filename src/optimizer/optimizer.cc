@@ -46,6 +46,7 @@ StatusOr<OptimizeResult> Optimizer::Optimize(const Query& query,
 
   OptimizeResult result;
   result.paths_considered = joiner.paths_considered();
+  result.paths_built = joiner.paths_built();
   result.best = finals[0];
   for (const auto& p : finals) {
     if (p->cost.total < result.best->cost.total) result.best = p;
@@ -55,10 +56,16 @@ StatusOr<OptimizeResult> Optimizer::Optimize(const Query& query,
   } else {
     result.exported = {result.best};
   }
-  if (knobs.hooks.keep_all_access_paths) {
-    result.access_info = std::move(ctx.rels);
-  }
   return result;
+}
+
+StatusOr<std::vector<TableAccessInfo>> Optimizer::CollectAccessPaths(
+    const Query& query, const PlannerKnobs& knobs) const {
+  PINUM_ASSIGN_OR_RETURN(
+      PlannerContext ctx,
+      BuildPlannerContext(query, *catalog_, *stats_, knobs));
+  TruncateToUsefulOrders(&ctx);
+  return std::move(ctx.rels);
 }
 
 }  // namespace pinum

@@ -23,12 +23,11 @@ struct OptimizeResult {
   /// interesting-order combination (Section V-D). Contains only `best`
   /// otherwise.
   std::vector<PathPtr> exported;
-  /// With hooks.keep_all_access_paths: the per-table access-cost catalog
-  /// (every index access path, not just the cheapest per order;
-  /// Section V-C). Empty otherwise.
-  std::vector<TableAccessInfo> access_info;
   /// Planning-effort proxy: number of paths offered to add_path.
   int64_t paths_considered = 0;
+  /// Offered paths that passed the join planner's precheck and were
+  /// allocated; the rest were priced from their inputs and rejected.
+  int64_t paths_built = 0;
 };
 
 /// Bottom-up, dynamic-programming query optimizer.
@@ -40,6 +39,13 @@ class Optimizer {
   /// Optimizes `query` under `knobs`.
   StatusOr<OptimizeResult> Optimize(const Query& query,
                                     const PlannerKnobs& knobs) const;
+
+  /// The access-path collector alone (Section V-C's access-cost call):
+  /// every visible index's scan and probe options for each table of
+  /// `query`, exactly as Optimize would plan with them, without running
+  /// the join search. One entry per table position.
+  StatusOr<std::vector<TableAccessInfo>> CollectAccessPaths(
+      const Query& query, const PlannerKnobs& knobs) const;
 
  private:
   const Catalog* catalog_;

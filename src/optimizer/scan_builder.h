@@ -66,8 +66,8 @@ struct TableAccessInfo {
 /// column a regular and (when the index covers all needed columns) an
 /// index-only scan; and equality-probe options for every join column.
 /// No pruning happens here — the collector level decides what to keep
-/// (all of it under PINUM's keep_all hook, Section V-C; the cheapest per
-/// interesting order otherwise).
+/// (all of it for PINUM's access-cost call, Optimizer::CollectAccessPaths,
+/// Section V-C; the cheapest per interesting order otherwise).
 StatusOr<TableAccessInfo> BuildTableAccessInfo(const Query& query, int pos,
                                                const Catalog& catalog,
                                                const StatsCatalog& stats,

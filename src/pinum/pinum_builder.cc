@@ -68,7 +68,6 @@ StatusOr<InumCache> BuildInumCachePinum(const Query& query,
     PlannerKnobs knobs = options.base_knobs;
     knobs.enable_nestloop = false;
     knobs.hooks.export_all_plans = true;
-    knobs.hooks.keep_all_access_paths = false;
     // Fault injection mirrors the classic builder: every optimizer
     // invocation is one hit, so the k-th call of a reseal can be failed
     // or stalled regardless of which builder mode is active.
@@ -81,7 +80,8 @@ StatusOr<InumCache> BuildInumCachePinum(const Query& query,
     ++local.plan_cache_calls;
     local.calls.push_back({"export", result.best->cost.total,
                            static_cast<int64_t>(result.exported.size()),
-                           result.paths_considered});
+                           result.paths_considered,
+                           result.paths_built});
   }
 
   // ---- NLJ plans: extreme-access-cost calls (Section V-D). The calls
@@ -100,7 +100,6 @@ StatusOr<InumCache> BuildInumCachePinum(const Query& query,
       PlannerKnobs knobs = options.base_knobs;
       knobs.enable_nestloop = true;
       knobs.hooks.export_all_plans = options.nlj_export_all;
-      knobs.hooks.keep_all_access_paths = false;
       PINUM_RETURN_IF_ERROR(FailPoint::Check("inum.plan_optimizer_call"));
       PINUM_ASSIGN_OR_RETURN(OptimizeResult result,
                              opt.Optimize(query, knobs));
@@ -112,7 +111,8 @@ StatusOr<InumCache> BuildInumCachePinum(const Query& query,
       local.calls.push_back({call == 0 ? "nlj_low" : "nlj_high",
                              result.best->cost.total,
                              static_cast<int64_t>(result.exported.size()),
-                             result.paths_considered});
+                             result.paths_considered,
+                             result.paths_built});
     }
 
     // Probe sweep (nlj_extreme_calls >= 3): one winner-only call per join
@@ -145,15 +145,16 @@ StatusOr<InumCache> BuildInumCachePinum(const Query& query,
         ++local.plan_cache_calls;
         local.calls.push_back({"probe" + std::to_string(j),
                                result.best->cost.total, 1,
-                               result.paths_considered});
+                               result.paths_considered,
+                               result.paths_built});
       }
     }
   }
   local.plan_cache_ms = plan_timer.ElapsedMillis();
 
-  // ---- Access costs: ONE call with every candidate visible and the
-  // keep_all_access_paths hook (Section V-C) — or ZERO calls when every
-  // table footprint was already priced by another workload query. ----
+  // ---- Access costs: ONE access-path collector call with every
+  // candidate visible (Section V-C) — or ZERO calls when every table
+  // footprint was already priced by another workload query. ----
   Stopwatch access_timer;
   {
     SharedAccessCostStore* store = options.shared_access;
@@ -171,13 +172,11 @@ StatusOr<InumCache> BuildInumCachePinum(const Query& query,
       ++local.access_calls_saved;
     } else {
       Optimizer opt(&candidates.universe, &stats);
-      PlannerKnobs knobs = options.base_knobs;
-      knobs.hooks.keep_all_access_paths = true;
-      knobs.hooks.export_all_plans = false;
       PINUM_RETURN_IF_ERROR(FailPoint::Check("inum.access_optimizer_call"));
-      PINUM_ASSIGN_OR_RETURN(OptimizeResult result,
-                             opt.Optimize(query, knobs));
-      for (const auto& info : result.access_info) {
+      PINUM_ASSIGN_OR_RETURN(
+          std::vector<TableAccessInfo> access_info,
+          opt.CollectAccessPaths(query, options.base_knobs));
+      for (const auto& info : access_info) {
         cache.mutable_access()->Absorb(info);
         if (store != nullptr) {
           store->StoreTable(TableContextSignature(query, info.table), info);

@@ -59,6 +59,9 @@ struct PinumCallRecord {
   double best_cost = 0;
   int64_t plans_exported = 0;
   int64_t paths_considered = 0;
+  /// Offers the join planner's precheck let through and allocated; not
+  /// recorded in the corpus, which pins the search, not its cost.
+  int64_t paths_built = 0;
 };
 
 /// Build-time accounting, the quantities plotted in Figure 4/5.
@@ -82,9 +85,9 @@ struct PinumBuildStats {
 ///     covered by what-if indexes, and the export_all_plans hook — the
 ///     join planner retains one optimal plan per useful IOC (dominance
 ///     pruned) and all of them are harvested;
-///  2. one call with the keep_all_access_paths hook and all candidate
-///     indexes visible — the access-path collector reports every index's
-///     access costs at once;
+///  2. one access-path collector call (Optimizer::CollectAccessPaths)
+///     with all candidate indexes visible — it reports every index's
+///     access costs at once and runs no join search;
 ///  3. up to two NLJ-enabled calls at the extreme access costs (all
 ///     candidates visible / none visible).
 StatusOr<InumCache> BuildInumCachePinum(const Query& query,

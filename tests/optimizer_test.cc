@@ -171,18 +171,28 @@ TEST_F(OptimizerTest, ExportedPlansHaveDistinctRequirementKeys) {
   EXPECT_GE(r->exported.size(), 1u);
 }
 
-TEST_F(OptimizerTest, AccessInfoExportedOnlyWithHook) {
+TEST_F(OptimizerTest, CollectAccessPathsMatchesThePlannedScans) {
   Optimizer opt(&mini_.db.catalog(), &mini_.db.stats());
-  PlannerKnobs plain;
-  auto r1 = opt.Optimize(mini_.JoinQuery(), plain);
-  ASSERT_TRUE(r1.ok());
-  EXPECT_TRUE(r1->access_info.empty());
-
-  PlannerKnobs hooked;
-  hooked.hooks.keep_all_access_paths = true;
-  auto r2 = opt.Optimize(mini_.JoinQuery(), hooked);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2->access_info.size(), 2u);
+  const Query q = mini_.JoinQuery();
+  auto access = opt.CollectAccessPaths(q, PlannerKnobs{});
+  ASSERT_TRUE(access.ok()) << access.status().ToString();
+  ASSERT_EQ(access->size(), 2u);
+  for (size_t pos = 0; pos < access->size(); ++pos) {
+    const TableAccessInfo& info = (*access)[pos];
+    EXPECT_EQ(info.pos, static_cast<int>(pos));
+    EXPECT_EQ(info.table, q.tables[pos]);
+    EXPECT_FALSE(info.options.empty());
+  }
+  // The collector runs no join search, so it also answers for a query
+  // the planner rejects; the builders' plan-cache calls still fail it.
+  QueryBuilder qb(&mini_.db.catalog());
+  auto disconnected = qb.From("d1").From("d2").Select("d1", "c1").Build();
+  ASSERT_TRUE(disconnected.ok());
+  EXPECT_FALSE(opt.Optimize(*disconnected, PlannerKnobs{}).ok());
+  auto disconnected_access =
+      opt.CollectAccessPaths(*disconnected, PlannerKnobs{});
+  ASSERT_TRUE(disconnected_access.ok());
+  EXPECT_EQ(disconnected_access->size(), 2u);
 }
 
 TEST_F(OptimizerTest, GroupByProducesAggregation) {
@@ -270,6 +280,52 @@ TEST(AddPathTest, StandardModePrunesDominated) {
     if (!p->order.empty()) best_ordered = p->cost.total;
   }
   EXPECT_EQ(best_ordered, 120);
+}
+
+TEST(DominancePruneTest, KeepsTheLowerIndexOfAMutuallyDominatingPair) {
+  // Probe multipliers straddling an integer truncate to different
+  // requirement keys (x2 / x3) but are equal within LeafReqsSubsumedBy's
+  // 1e-6 relative tolerance, so each path dominates the other. Exactly
+  // one of them must survive: the first.
+  auto mk = [](double multiplier, double internal, LeafReqKind d1_req) {
+    auto p = std::make_shared<Path>();
+    p->kind = PathKind::kNestLoop;
+    p->rels = RelSet::FirstN(2);
+    p->internal_cost = internal;
+    LeafSlot outer;
+    outer.table_pos = 0;
+    outer.req = d1_req;
+    outer.column = {1, 0};
+    LeafSlot probe;
+    probe.table_pos = 1;
+    probe.req = LeafReqKind::kProbe;
+    probe.column = {2, 0};
+    probe.multiplier = multiplier;
+    p->leaves = {outer, probe};
+    return p;
+  };
+  std::vector<PathPtr> paths = {
+      mk(2.9999999, 10, LeafReqKind::kUnordered),
+      mk(3.0000001, 10, LeafReqKind::kUnordered),
+      // Requires an order on table 0, so neither pair member dominates
+      // it; it is cheaper, but its ordered leaf keeps it from
+      // dominating them.
+      mk(3.0, 5, LeafReqKind::kOrdered),
+  };
+  ASSERT_NE(paths[0]->RequirementOrderKey(), paths[1]->RequirementOrderKey());
+  ASSERT_TRUE(PathDominates(*paths[0], *paths[1], true));
+  ASSERT_TRUE(PathDominates(*paths[1], *paths[0], true));
+  const std::vector<PathPtr> original = paths;
+  DominancePrune(&paths);
+  ASSERT_EQ(paths.size(), 2u);
+  EXPECT_EQ(paths[0], original[0]);
+  EXPECT_EQ(paths[1], original[2]);
+
+  // The order of the pair decides which member stays.
+  std::vector<PathPtr> swapped = {original[1], original[0]};
+  DominancePrune(&swapped);
+  ASSERT_EQ(swapped.size(), 1u);
+  EXPECT_EQ(swapped[0], original[1]);
 }
 
 }  // namespace

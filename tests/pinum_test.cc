@@ -51,6 +51,38 @@ TEST_F(PinumTest, UsesConstantNumberOfOptimizerCalls) {
   EXPECT_GT(stats.plans_cached, 0u);
 }
 
+TEST_F(PinumTest, DisconnectedJoinGraphFailsBothBuilders) {
+  // The access-cost calls run no join search, so the rejection of a
+  // cross product must still come from the plan-cache calls.
+  QueryBuilder qb(&mini_.db.catalog());
+  auto q = qb.From("d1").From("d2").Select("d1", "c1").Build();
+  ASSERT_TRUE(q.ok());
+  auto pinum = BuildInumCachePinum(*q, mini_.db.catalog(), set_,
+                                   mini_.db.stats(), PinumBuildOptions{},
+                                   nullptr);
+  ASSERT_FALSE(pinum.ok());
+  EXPECT_EQ(pinum.status().code(), StatusCode::kInvalidArgument);
+  auto classic = BuildInumCacheClassic(*q, mini_.db.catalog(), set_,
+                                       mini_.db.stats(), InumBuildOptions{},
+                                       nullptr);
+  ASSERT_FALSE(classic.ok());
+  EXPECT_EQ(classic.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(PinumTest, PrecheckBuildsOnlyASubsetOfTheOffers) {
+  // Every call counts each offer; only offers the cell keeps on arrival
+  // are allocated.
+  Optimizer opt(&set_.universe, &mini_.db.stats());
+  for (bool export_all : {false, true}) {
+    PlannerKnobs knobs;
+    knobs.hooks.export_all_plans = export_all;
+    auto r = opt.Optimize(mini_.ThreeWayQuery(), knobs);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_GT(r->paths_built, 0);
+    EXPECT_LT(r->paths_built, r->paths_considered) << export_all;
+  }
+}
+
 TEST_F(PinumTest, CostModelExactWithoutNestedLoops) {
   // With NLJ disabled the exported per-IOC plan set is provably complete:
   // the derived cost must equal a direct optimizer call for any config.
